@@ -1,13 +1,14 @@
-//! Block decoders: exact subset-DP matching and the union-find decoder.
+//! Block decoders: the union-find decoder with exact group refinement, and
+//! whole-block exact matching.
 //!
-//! Small detection-event sets are decoded with *exact* minimum-weight
-//! perfect matching over events and the two virtual boundaries, computed by
-//! dynamic programming over subsets; everything larger goes to the
-//! union-find decoder ([`crate::uf`]) on the precomputed decoding graph
-//! ([`crate::graph`]), which has no defect-count ceiling and near-linear
-//! cost in the number of space-time nodes. The subset DP additionally
-//! survives as the reference oracle (up to [`EXACT_MATCHING_LIMIT`] events)
-//! that the union-find parity tests compare against.
+//! Every block goes to the union-find decoder ([`crate::uf`]) on the
+//! precomputed decoding graph ([`crate::graph`]): near-linear cluster growth
+//! and peeling, then exact canonical re-matching of every interaction group
+//! of at most [`crate::uf::LOCAL_EXACT_LIMIT`] events by the blossom matcher
+//! ([`crate::matching`]). That makes it exact on every block of at most 14
+//! events, with no defect-count ceiling above. [`decode_block_exact`] runs
+//! the same blossom matcher over the whole block instead: the exact
+//! reference decode at any size, in O(k³) for `k` events.
 //!
 //! # Logical-class bookkeeping
 //!
@@ -20,17 +21,18 @@
 //! # Canonical tie-breaking
 //!
 //! Minimum-weight matchings are frequently non-unique, and co-optimal
-//! solutions can disagree on west-match parity. The DP therefore minimizes
-//! the pair `(cost, west matches)` lexicographically — both packed into one
-//! `u64` so a single numeric `min` does the job — making `west_matches`
-//! (and hence `logical_error`) a canonical function of the event *set*,
-//! independent of enumeration order. The union-find decoder is
+//! solutions can disagree on west-match parity. The exact matcher therefore
+//! minimizes the pair `(cost, west matches)` lexicographically — encoded in
+//! integer edge weights so the minimum total weight is unique — making
+//! `west_matches` (and hence `logical_error`) a canonical function of the
+//! event *set*, independent of enumeration order. The union-find decoder is
 //! deterministic and order-independent by construction (fixed node-order
-//! growth sweeps).
+//! growth sweeps, canonical group refinement).
 
 use crate::graph::DecodingGraph;
 use crate::layout::RotatedSurfaceCode;
-use crate::syndrome::{DetectionEvent, SyndromeBlock};
+use crate::matching::{canonical_match, Matcher};
+use crate::syndrome::SyndromeBlock;
 use crate::uf::{self, UnionFindScratch};
 
 /// Outcome of decoding one block.
@@ -38,8 +40,9 @@ use crate::uf::{self, UnionFindScratch};
 pub struct DecodeOutcome {
     /// Number of detection events decoded.
     pub n_events: usize,
-    /// Number of west-boundary matches (exact path) or west-boundary edges
-    /// in the peeled correction (union-find path).
+    /// Number of west-boundary matches in the correction: canonical exact
+    /// matches, summed over interaction groups, plus the peeled west edges
+    /// of any group past [`crate::uf::LOCAL_EXACT_LIMIT`].
     pub west_matches: usize,
     /// Whether the block ends in a logical `X` error (correction applied to
     /// the residual error state flips the logical class).
@@ -65,35 +68,20 @@ impl Default for DecodeOutcome {
     }
 }
 
-/// Space-time distance between two detection events.
-fn event_distance(code: &RotatedSurfaceCode, a: &DetectionEvent, b: &DetectionEvent) -> usize {
-    code.stab_distance(a.stab, b.stab) + a.round.abs_diff(b.round)
-}
-
-/// Hard ceiling of the exact subset-DP matcher (`2^n` subsets): the oracle
-/// refuses larger sets. Production dispatch hands blocks to union-find well
-/// before this (see [`EXACT_DISPATCH_LIMIT`]).
-pub const EXACT_MATCHING_LIMIT: usize = 14;
-
-/// Production dispatch threshold: blocks with at most this many events are
-/// decoded exactly (the DP is a few microseconds there), larger blocks go
-/// to union-find. Chosen so the DP's exponential tail (≈ 250 µs near the
-/// 14-event ceiling) stays out of the streaming latency distribution.
-pub const EXACT_DISPATCH_LIMIT: usize = 10;
-
 /// Reusable working memory for [`decode_block_with`].
 ///
-/// Owns the subset-DP memo, the union-find scratch, and the decoding graph
+/// Owns the union-find scratch (with its group matcher), the decoding graph
 /// (rebuilt only when the code distance or block length changes — never on
-/// the warm path). A scratch built with [`DecodeScratch::prewarmed`] decodes
-/// any block of its `(code, rounds)` envelope without touching the heap;
-/// `crates/stream/tests/alloc.rs` pins warm whole cycles at exactly zero
-/// allocations on top of this.
+/// the warm path), and a whole-block matcher for [`decode_block_exact`]. A
+/// scratch built with [`DecodeScratch::prewarmed`] decodes any block of its
+/// `(code, rounds)` envelope through [`decode_block_with`] without touching
+/// the heap; `crates/stream/tests/alloc.rs` pins warm whole cycles at
+/// exactly zero allocations on top of this.
 #[derive(Debug, Clone, Default)]
 pub struct DecodeScratch {
-    memo: Vec<u64>,
     graph: Option<DecodingGraph>,
     uf: UnionFindScratch,
+    matcher: Matcher,
 }
 
 impl DecodeScratch {
@@ -104,17 +92,19 @@ impl DecodeScratch {
 
     /// A scratch pre-sized for blocks of up to `rounds` noisy rounds on
     /// `code`: the decoding graph is built eagerly, the union-find arrays
-    /// cover every space-time node, and the DP memo is reserved to the
-    /// dispatch threshold's `2^EXACT_DISPATCH_LIMIT` subsets. Sized from the
-    /// worst case, not a guess — a block within the envelope never grows it,
-    /// no matter how dense its syndrome gets under fault injection.
+    /// cover every space-time node, and the group matcher covers
+    /// [`crate::uf::LOCAL_EXACT_LIMIT`] events. Sized from the worst case,
+    /// not a guess — a block within the envelope never grows it through
+    /// [`decode_block_with`], no matter how dense its syndrome gets under
+    /// fault injection. (The whole-block matcher of [`decode_block_exact`]
+    /// is off the streaming path and grows on first use.)
     pub fn prewarmed(code: &RotatedSurfaceCode, rounds: usize) -> Self {
         let graph = DecodingGraph::new(code, rounds);
         let uf = UnionFindScratch::for_graph(&graph);
         DecodeScratch {
-            memo: Vec::with_capacity(1 << EXACT_DISPATCH_LIMIT),
             graph: Some(graph),
             uf,
+            matcher: Matcher::new(),
         }
     }
 
@@ -151,12 +141,10 @@ impl DecodeScratch {
 
 /// Decodes a block and determines the logical class.
 ///
-/// Detection-event sets of at most [`EXACT_DISPATCH_LIMIT`] events are
-/// decoded with exact minimum-weight matching (subset DP, canonical
-/// tie-break); larger sets — with no upper ceiling — go to the union-find
-/// decoder. At Fig. 13's operating points most blocks fall in the exact
-/// regime; under drift or at large distances the union-find path keeps
-/// decode latency near-linear in block size.
+/// Every block goes to the union-find decoder with exact group refinement,
+/// which has no defect-count ceiling and agrees with
+/// [`decode_block_exact`] on every block of at most
+/// [`crate::uf::LOCAL_EXACT_LIMIT`] events.
 ///
 /// Allocates its working memory per call; hot loops that decode many blocks
 /// hold a [`DecodeScratch`] and call [`decode_block_with`], which is
@@ -165,119 +153,48 @@ pub fn decode_block(code: &RotatedSurfaceCode, block: &SyndromeBlock) -> DecodeO
     decode_block_with(code, block, &mut DecodeScratch::new())
 }
 
-/// [`decode_block`] against caller-owned working memory: same dispatch,
-/// same outcome for every block, zero heap allocation once `scratch` covers
-/// the block's `(code, rounds)` envelope (see [`DecodeScratch::prewarmed`]).
+/// [`decode_block`] against caller-owned working memory: same outcome for
+/// every block, zero heap allocation once `scratch` covers the block's
+/// `(code, rounds)` envelope (see [`DecodeScratch::prewarmed`]).
 pub fn decode_block_with(
     code: &RotatedSurfaceCode,
     block: &SyndromeBlock,
     scratch: &mut DecodeScratch,
 ) -> DecodeOutcome {
-    let n = block.events.len();
-    if n <= EXACT_DISPATCH_LIMIT {
-        return decode_block_exact(code, block, scratch);
-    }
-    decode_block_uf(code, block, scratch)
+    scratch.ensure_graph(code, block.rounds);
+    let graph = scratch.graph.as_ref().expect("graph just ensured");
+    let west_matches = uf::decode_events(graph, &block.events, &mut scratch.uf);
+    outcome(code, block, west_matches)
 }
 
-/// Exact subset-DP decode — the reference oracle. Usable up to
-/// [`EXACT_MATCHING_LIMIT`] events.
-///
-/// # Panics
-///
-/// Panics if the block has more than [`EXACT_MATCHING_LIMIT`] events.
+/// Exact whole-block decode: canonical minimum-weight matching of every
+/// event by the blossom matcher, at any event count.
 pub fn decode_block_exact(
     code: &RotatedSurfaceCode,
     block: &SyndromeBlock,
     scratch: &mut DecodeScratch,
 ) -> DecodeOutcome {
-    let n = block.events.len();
-    assert!(
-        n <= EXACT_MATCHING_LIMIT,
-        "exact matcher ceiling is {EXACT_MATCHING_LIMIT} events, block has {n}"
-    );
-    let west_matches = exact_min_weight_west_matches(code, &block.events, &mut scratch.memo);
+    scratch.ensure_graph(code, block.rounds);
+    let graph = scratch.graph.as_ref().expect("graph just ensured");
+    let west_matches = canonical_match(graph, &block.events, &mut scratch.matcher).west;
+    outcome(code, block, west_matches)
+}
+
+/// The outcome of correcting `block` with `west_matches` west exits.
+fn outcome(code: &RotatedSurfaceCode, block: &SyndromeBlock, west_matches: usize) -> DecodeOutcome {
     let error_parity = block.west_column_error_parity(code);
     DecodeOutcome {
-        n_events: n,
+        n_events: block.events.len(),
         west_matches,
         logical_error: error_parity != (west_matches % 2 == 1),
         degraded: false,
     }
-}
-
-/// Union-find decode of a whole block, regardless of size.
-pub fn decode_block_uf(
-    code: &RotatedSurfaceCode,
-    block: &SyndromeBlock,
-    scratch: &mut DecodeScratch,
-) -> DecodeOutcome {
-    let n = block.events.len();
-    let graph = {
-        scratch.ensure_graph(code, block.rounds);
-        scratch.graph.as_ref().expect("graph just ensured")
-    };
-    let west_matches = uf::decode_events(graph, &block.events, &mut scratch.uf);
-    let error_parity = block.west_column_error_parity(code);
-    DecodeOutcome {
-        n_events: n,
-        west_matches,
-        logical_error: error_parity != (west_matches % 2 == 1),
-        degraded: false,
-    }
-}
-
-/// Exact minimum-weight matching via subset DP with a canonical tie-break:
-/// every memo entry packs `(cost << WEST_BITS) | west_count`, so the numeric
-/// minimum is the lexicographic minimum over `(cost, west_count)` — among
-/// co-optimal matchings the one with the fewest west matches wins,
-/// independent of event enumeration order. Returns that canonical west
-/// count. `memo` is caller-owned scratch, cleared and resized to the `2^n`
-/// subsets here.
-fn exact_min_weight_west_matches(
-    code: &RotatedSurfaceCode,
-    events: &[DetectionEvent],
-    memo: &mut Vec<u64>,
-) -> usize {
-    let n = events.len();
-    if n == 0 {
-        return 0;
-    }
-    // West counts are at most EXACT_MATCHING_LIMIT (14), so 8 bits of
-    // packing leave costs 2^56 of headroom — unreachable for any block.
-    const WEST_BITS: u32 = 8;
-    const WEST_MASK: u64 = (1 << WEST_BITS) - 1;
-    let full = (1usize << n) - 1;
-    memo.clear();
-    memo.resize(1 << n, u64::MAX);
-    memo[0] = 0;
-
-    // Increasing-mask order is valid: every transition clears the lowest set
-    // bit, so dependencies have smaller values. Packed sums add component-
-    // wise because the west field cannot carry past its 8 bits.
-    for mask in 1..=full {
-        let i = mask.trailing_zeros() as usize;
-        let rest = mask & !(1 << i);
-        let west = memo[rest] + ((code.dist_west(events[i].stab) as u64) << WEST_BITS) + 1;
-        let east = memo[rest] + ((code.dist_east(events[i].stab) as u64) << WEST_BITS);
-        let mut best = west.min(east);
-        let mut bits = rest;
-        while bits != 0 {
-            let j = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let pair = memo[rest & !(1 << j)]
-                + ((event_distance(code, &events[i], &events[j]) as u64) << WEST_BITS);
-            best = best.min(pair);
-        }
-        memo[mask] = best;
-    }
-    (memo[full] & WEST_MASK) as usize
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::syndrome::NoiseParams;
+    use crate::syndrome::{DetectionEvent, NoiseParams};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -376,7 +293,7 @@ mod tests {
         let mut checked = 0;
         for _ in 0..400 {
             let block = SyndromeBlock::simulate(&c, &noise, 5, &mut rng);
-            if block.events.len() > EXACT_MATCHING_LIMIT || block.events.is_empty() {
+            if block.events.is_empty() {
                 continue;
             }
             let base = decode_block_exact(&c, &block, &mut scratch);
@@ -397,8 +314,8 @@ mod tests {
 
     #[test]
     fn dispatch_handles_dense_blocks_without_ceiling() {
-        // Far beyond the old 2^14 subset ceiling: a dense multi-round block
-        // at d=7 must decode through the union-find path.
+        // Dense multi-round blocks at d=7, with groups past the refinement
+        // threshold, must decode through the union-find path.
         let c = RotatedSurfaceCode::new(7);
         let noise = NoiseParams {
             data_error_prob: 0.05,
@@ -415,7 +332,7 @@ mod tests {
             assert!(!out.degraded, "block decoders never set degraded");
         }
         assert!(
-            densest > EXACT_MATCHING_LIMIT,
+            densest > crate::uf::LOCAL_EXACT_LIMIT,
             "noise too low to exercise UF"
         );
     }

@@ -16,7 +16,7 @@
 //!
 //! Along any path, spatial and temporal steps add, so the graph metric
 //! equals the matcher metric `stab_distance + |Δround|` used by the exact
-//! subset-DP oracle. Spatial adjacency is layer-uniform, so it is stored
+//! blossom matcher ([`crate::matching`]). Spatial adjacency is layer-uniform, so it is stored
 //! once per stabilizer and shared by all layers.
 //!
 //! # Half-edge slot layout

@@ -11,9 +11,11 @@
 //!   errors with probability `p` and syndrome measurement flips with
 //!   probability `εR` (the readout error HERQULES improves), producing
 //!   space-time detection events;
-//! * [`decoder`] — block decoding: exact minimum-weight matching (subset
-//!   DP with a canonical tie-break) for small event sets, dispatching to the
-//!   union-find decoder for everything larger;
+//! * [`decoder`] — block decoding: union-find with exact group refinement
+//!   for every block, and whole-block exact matching as the reference;
+//! * [`matching`] — Edmonds' weighted blossom algorithm: exact, canonical
+//!   (min-cost, then min-west) matching of a detection-event set in O(k³),
+//!   with its dual certificate;
 //! * [`graph`] — the precomputed space-time decoding graph (stabilizer ×
 //!   round nodes, virtual west/east boundary nodes, uniform-weight edges);
 //! * [`uf`] — the union-find decoder: synchronous half-step cluster growth
@@ -52,19 +54,18 @@ pub mod decoder;
 pub mod graph;
 pub mod layout;
 pub mod logical;
+pub mod matching;
 pub mod syndrome;
 pub mod uf;
 pub mod window;
 
 pub use cycle::{CycleTimes, GateSet};
 pub use decoder::DecodeOutcome;
-pub use decoder::{
-    decode_block, decode_block_exact, decode_block_uf, decode_block_with, DecodeScratch,
-    EXACT_DISPATCH_LIMIT, EXACT_MATCHING_LIMIT,
-};
+pub use decoder::{decode_block, decode_block_exact, decode_block_with, DecodeScratch};
 pub use graph::DecodingGraph;
 pub use layout::RotatedSurfaceCode;
 pub use logical::{estimate_logical_error_rate, LogicalErrorConfig};
+pub use matching::{canonical_match, CanonicalMatch, Matcher};
 pub use syndrome::{stabilizer_parities, NoiseParams, SyndromeBlock, SyndromeSim};
-pub use uf::UnionFindScratch;
+pub use uf::{UnionFindScratch, LOCAL_EXACT_LIMIT};
 pub use window::SlidingWindowDecoder;

@@ -1,26 +1,32 @@
-//! Decoder parity harness: the union-find decoder against the exact
-//! subset-DP matcher, and the streaming window against whole-block decode.
+//! Decoder parity harness: the union-find decoder and the whole-block
+//! blossom matcher against the subset-DP oracle, and the streaming window
+//! against whole-block decode.
 //!
-//! The exact matcher is the reference oracle up to its
-//! `EXACT_MATCHING_LIMIT` (14) events; union-find must agree with its
-//! `logical_error` verdict on *every* such block the simulated streams
-//! produce — across distances, rounds, seeds, and noise levels spanning the
-//! Fig. 13 operating points up to several times threshold-adjacent rates.
+//! The oracle ([`oracle::subset_dp`]) is exact up to its `ORACLE_LIMIT`
+//! (14) events; union-find must agree with its `logical_error` verdict, and
+//! the blossom matcher with its canonical west count, on *every* such block
+//! the simulated streams produce — across distances, rounds, seeds, and
+//! noise levels spanning the Fig. 13 operating points up to several times
+//! threshold-adjacent rates.
 //! (Kernel dispatch never touches the decoder, but CI runs this harness
 //! under `HERQLES_KERNEL=scalar` and `auto` so the guarantee is pinned on
 //! both arms of every runner.)
 
+mod oracle;
+
+use oracle::{subset_dp, ORACLE_LIMIT};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use surface_code::window::SlidingWindowDecoder;
 use surface_code::{
-    decode_block_exact, decode_block_uf, DecodeScratch, DecodingGraph, NoiseParams,
-    RotatedSurfaceCode, SyndromeBlock, SyndromeSim, UnionFindScratch, EXACT_MATCHING_LIMIT,
+    decode_block_exact, decode_block_with, DecodeScratch, DecodingGraph, NoiseParams,
+    RotatedSurfaceCode, SyndromeBlock, SyndromeSim, UnionFindScratch, LOCAL_EXACT_LIMIT,
 };
 
 #[test]
 fn union_find_matches_exact_logical_error_on_all_small_blocks() {
     let mut exercised = 0usize;
+    let mut memo = Vec::new();
     for d in [3usize, 5, 7] {
         let code = RotatedSurfaceCode::new(d);
         let mut scratch = DecodeScratch::prewarmed(&code, d);
@@ -33,17 +39,26 @@ fn union_find_matches_exact_logical_error_on_all_small_blocks() {
                 let mut rng = StdRng::seed_from_u64(seed * 7919 + d as u64);
                 for _ in 0..60 {
                     let block = SyndromeBlock::simulate(&code, &noise, d, &mut rng);
-                    if block.events.is_empty() || block.events.len() > EXACT_MATCHING_LIMIT {
+                    if block.events.is_empty() || block.events.len() > ORACLE_LIMIT {
                         continue;
                     }
-                    let exact = decode_block_exact(&code, &block, &mut scratch);
-                    let uf = decode_block_uf(&code, &block, &mut scratch);
+                    let (_, west) = subset_dp(&code, &block.events, &mut memo);
+                    let oracle_error = block.west_column_error_parity(&code) != (west % 2 == 1);
+                    let uf = decode_block_with(&code, &block, &mut scratch);
                     assert_eq!(
-                        uf.logical_error, exact.logical_error,
+                        uf.logical_error, oracle_error,
                         "d={d} p=({p_data},{p_meas}) seed={seed}: union-find \
-                         (west {}) disagrees with exact (west {}) on {:?}",
-                        uf.west_matches, exact.west_matches, block.events
+                         (west {}) disagrees with the oracle (west {west}) on {:?}",
+                        uf.west_matches, block.events
                     );
+                    let exact = decode_block_exact(&code, &block, &mut scratch);
+                    assert_eq!(
+                        exact.west_matches, west,
+                        "d={d} p=({p_data},{p_meas}) seed={seed}: blossom west \
+                         count disagrees with the oracle on {:?}",
+                        block.events
+                    );
+                    assert_eq!(exact.logical_error, oracle_error);
                     assert_eq!(uf.n_events, exact.n_events);
                     exercised += 1;
                 }
@@ -58,7 +73,7 @@ fn union_find_matches_exact_logical_error_on_all_small_blocks() {
 
 #[test]
 fn union_find_is_deterministic_across_event_orderings() {
-    // Dense blocks (beyond the exact ceiling) under several permutations:
+    // Dense blocks (past the refinement threshold) under several permutations:
     // the decode must be a function of the event *set*. d = 3 is excluded —
     // its 16 space-time nodes cannot produce more than 14 events.
     for d in [5usize, 7] {
@@ -72,16 +87,16 @@ fn union_find_is_deterministic_across_event_orderings() {
         let mut dense_seen = 0usize;
         for _ in 0..60 {
             let block = SyndromeBlock::simulate(&code, &noise, d, &mut rng);
-            if block.events.len() <= EXACT_MATCHING_LIMIT {
+            if block.events.len() <= LOCAL_EXACT_LIMIT {
                 continue;
             }
             dense_seen += 1;
-            let base = decode_block_uf(&code, &block, &mut scratch);
+            let base = decode_block_with(&code, &block, &mut scratch);
             let mut permuted = block.clone();
             for _ in 0..5 {
                 permuted.events.rotate_left(3);
                 permuted.events.reverse();
-                let out = decode_block_uf(&code, &permuted, &mut scratch);
+                let out = decode_block_with(&code, &permuted, &mut scratch);
                 assert_eq!(out, base, "d={d}: permutation changed the UF decode");
             }
         }
@@ -140,7 +155,7 @@ fn sliding_window_matches_whole_block_across_seeds() {
 #[test]
 fn union_find_scales_to_d11_without_ceiling() {
     // The acceptance bar: blocks at d = 11 (and 9) with event counts far
-    // past the old 2^14 subset ceiling decode through union-find.
+    // past the refinement threshold decode through union-find.
     for d in [9usize, 11] {
         let code = RotatedSurfaceCode::new(d);
         let noise = NoiseParams {
@@ -153,12 +168,12 @@ fn union_find_scales_to_d11_without_ceiling() {
         for _ in 0..20 {
             let block = SyndromeBlock::simulate(&code, &noise, d, &mut rng);
             densest = densest.max(block.events.len());
-            let out = surface_code::decode_block_with(&code, &block, &mut scratch);
+            let out = decode_block_with(&code, &block, &mut scratch);
             assert_eq!(out.n_events, block.events.len());
             assert!(!out.degraded);
         }
         assert!(
-            densest > EXACT_MATCHING_LIMIT,
+            densest > LOCAL_EXACT_LIMIT,
             "d={d}: densest block only {densest} events"
         );
     }

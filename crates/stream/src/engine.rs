@@ -154,7 +154,7 @@ pub struct EngineStats {
     /// Blocks whose decode overran the configured real-time budget
     /// ([`CycleEngine::set_decode_budget_ns`]) and were stamped
     /// [`DecodeOutcome::degraded`]. Always zero with no budget set — every
-    /// block decodes exactly (union-find past the small-block dispatch).
+    /// block decodes in full (union-find with exact group refinement).
     pub degraded_decodes: u64,
     /// Health-status transitions reported by the engine's
     /// [`HealthMonitor`].

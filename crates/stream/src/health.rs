@@ -25,7 +25,10 @@
 //! EWMA collapses before the logical error rate visibly moves — while the
 //! defect rate is the *confirming* one and also covers discriminators that
 //! report no margins (`soft_margins` returning `false` simply drops the
-//! margin signal).
+//! margin signal). A non-finite margin (NaN or infinite, from a corrupt
+//! ADC sample upstream) is skipped and counted rather than folded in: one
+//! NaN would otherwise poison the margin EWMA for good and silence the
+//! margin alarm.
 
 /// Channel health verdict, ordered by severity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -107,6 +110,7 @@ pub struct HealthMonitor {
     pending: HealthStatus,
     pending_rounds: u32,
     transitions: u64,
+    nonfinite_margins: u64,
     prev_measured: Vec<bool>,
 }
 
@@ -131,6 +135,7 @@ impl HealthMonitor {
             pending: HealthStatus::Nominal,
             pending_rounds: 0,
             transitions: 0,
+            nonfinite_margins: 0,
             prev_measured: vec![false; n_ancillas],
         }
     }
@@ -144,6 +149,12 @@ impl HealthMonitor {
     /// [`HealthMonitor::recalibrated`]).
     pub fn transitions(&self) -> u64 {
         self.transitions
+    }
+
+    /// Non-finite margins skipped since construction (cumulative, like
+    /// [`HealthMonitor::transitions`]).
+    pub fn nonfinite_margins(&self) -> u64 {
+        self.nonfinite_margins
     }
 
     /// Rounds observed since the last (re)baseline.
@@ -193,7 +204,9 @@ impl HealthMonitor {
 
     /// Feeds one round: the mean soft margin over live ancilla channels
     /// (`None` when the discriminator reports no margins) and the measured
-    /// syndrome bits. Returns the (possibly updated) status.
+    /// syndrome bits. Returns the (possibly updated) status. A non-finite
+    /// margin is treated as absent and counted in
+    /// [`HealthMonitor::nonfinite_margins`].
     ///
     /// # Panics
     ///
@@ -211,6 +224,11 @@ impl HealthMonitor {
         }
         let defect_rate = defects as f64 / measured.len().max(1) as f64;
         self.rounds += 1;
+        let mean_margin = mean_margin.filter(|m| {
+            let finite = m.is_finite();
+            self.nonfinite_margins += u64::from(!finite);
+            finite
+        });
 
         if let Some(m) = mean_margin {
             self.margin_acc += m;
@@ -398,6 +416,26 @@ mod tests {
         assert_eq!(mon.transitions(), trips);
         // A fresh epoch at a new margin scale calibrates cleanly.
         assert_eq!(feed(&mut mon, 10.0, 30), HealthStatus::Nominal);
+    }
+
+    #[test]
+    fn nonfinite_margins_are_skipped_and_the_alarm_still_fires() {
+        let mut mon = HealthMonitor::new(cfg(), 4);
+        let quiet = vec![false; 4];
+        // NaN inside the baseline window, then an infinity and a NaN after it.
+        feed(&mut mon, 2.0, 4);
+        mon.observe_round(Some(f64::NAN), &quiet);
+        feed(&mut mon, 2.0, 8);
+        assert!(mon.is_calibrated());
+        mon.observe_round(Some(f64::INFINITY), &quiet);
+        mon.observe_round(Some(f64::NAN), &quiet);
+        assert_eq!(mon.nonfinite_margins(), 3);
+        assert!(mon.margin_ewma().is_finite());
+        assert_eq!(feed(&mut mon, 2.0, 10), HealthStatus::Nominal);
+        // A real margin collapse must still escalate.
+        let s = feed(&mut mon, 0.2, 40);
+        assert_eq!(s, HealthStatus::Critical, "collapsed margins must trip");
+        assert!(mon.transitions() >= 1);
     }
 
     #[test]

@@ -316,10 +316,10 @@ fn warm_engine_rounds_perform_zero_heap_allocations() {
         "registered counters must have seen the probed cycles"
     );
 
-    // Dense blocks under active faults route through the union-find decoder
-    // (past `EXACT_DISPATCH_LIMIT`), whose scratch — parents, sizes,
+    // Dense blocks under active faults (past `LOCAL_EXACT_LIMIT` events)
+    // exercise the whole union-find decoder, whose scratch — parents, sizes,
     // half-edge support, frontier queues, peeling stacks, interaction-group
-    // buffers and the local-DP memo — is pre-sized by
+    // buffers and the blossom group matcher — is pre-sized by
     // `DecodeScratch::prewarmed` at engine construction. Warm cycles that
     // grow, peel, and refine real clusters must stay heap-free.
     let dense_cfg = CycleConfig {
@@ -340,7 +340,7 @@ fn warm_engine_rounds_perform_zero_heap_allocations() {
         dense_events = dense_events.max(dense.run_cycle().outcome.n_events);
     });
     assert!(
-        dense_events > surface_code::EXACT_DISPATCH_LIMIT,
+        dense_events > surface_code::LOCAL_EXACT_LIMIT,
         "probe produced only {dense_events} events — union-find path not exercised"
     );
     assert_eq!(
