@@ -38,14 +38,29 @@
 //! the refinement costs a few microseconds; a group beyond the limit keeps
 //! the sum of its components' peeled answers.
 //!
+//! Growth and peeling cost time in the nodes the clusters touch, not in the
+//! graph size. A growth round walks a member bitset — the defects plus
+//! every real node a union has joined — in ascending node index, re-reading
+//! each word after a node grows, so a node that joins above the cursor is
+//! grown in the same round and one that joins below it waits for the next.
+//! That is exactly the order of a sweep over every node (whose non-members
+//! are even singletons that never grow), so merges, recorded tree edges,
+//! peeling and west counts are those of the full sweep; `tests/uf_golden.rs`
+//! pins them. The active-cluster count is kept up to date by the unions
+//! instead of being recounted, and peeling walks per-node half-edge lists of
+//! the recorded forest. The per-decode reset stays a set of plain fills over
+//! the node arrays: at d = 7 they are a few hundred bytes each, and
+//! restoring only the touched entries measured no faster.
+//!
 //! Everything runs against a caller-owned [`UnionFindScratch`]: once sized
 //! for a graph (see [`UnionFindScratch::for_graph`]) a decode performs no
 //! heap allocation, preserving the streaming engine's warm zero-allocation
 //! contract.
 //!
-//! Processing order — node-index order within each growth round, input
-//! order for traversal roots — is fixed, so the decode is deterministic and
-//! independent of the order events are listed in.
+//! Processing order — node-index order within each growth round,
+//! recorded-edge order for interior traversal roots — is fixed, so the
+//! decode is deterministic and independent of the order events are listed
+//! in.
 
 use crate::graph::{DecodingGraph, EDGE_WEIGHT, MAX_SLOTS, SPATIAL_SLOT0};
 use crate::matching::{canonical_match, Matcher};
@@ -72,10 +87,10 @@ struct TreeEdge {
     b: u32,
 }
 
-/// Caller-owned working memory for union-find decoding. All buffers are
-/// sized to the graph's node count plus the two boundary nodes; a scratch
-/// pre-sized with [`UnionFindScratch::for_graph`] never allocates during
-/// [`decode_events`] / [`decode_events_commit`].
+/// Caller-owned working memory for union-find decoding. Node-indexed
+/// buffers cover the graph's node count plus the two boundary nodes; a
+/// scratch pre-sized with [`UnionFindScratch::for_graph`] never allocates
+/// during [`decode_events`] / [`decode_events_commit`].
 #[derive(Debug, Clone, Default)]
 pub struct UnionFindScratch {
     parent: Vec<u32>,
@@ -88,11 +103,18 @@ pub struct UnionFindScratch {
     defect: Vec<bool>,
     /// Per-node half-edge support, [`MAX_SLOTS`] slots per node.
     growth: Vec<u8>,
+    /// Cluster members (defects and every real node a union has joined),
+    /// one bit per node: the growth sweep's node set, in index order.
+    member: Vec<u64>,
+    /// Active clusters (odd defect parity, no boundary contact), kept up to
+    /// date by the unions.
+    active: usize,
     /// Spanning-forest edges recorded by the unions.
     tree: Vec<TreeEdge>,
-    /// CSR offsets / adjacency of the spanning forest (rebuilt per decode).
-    edge_off: Vec<u32>,
-    edge_adj: Vec<u32>,
+    /// Forest adjacency as per-node linked lists of half-edges: half-edge
+    /// `2e` leaves `tree[e].a`, `2e + 1` leaves `tree[e].b`.
+    head: Vec<u32>,
+    next: Vec<u32>,
     /// Peeling traversal state.
     visited: Vec<bool>,
     order: Vec<u32>,
@@ -102,21 +124,24 @@ pub struct UnionFindScratch {
     /// each physically separate cluster commits independently even when
     /// several absorbed the same virtual boundary.
     comp: Vec<u32>,
-    /// Per-component (indexed by component id) latest touched round.
-    comp_max_round: Vec<u32>,
+    /// Per-component (indexed by component id) first event, for grouping.
+    comp_first: Vec<u32>,
+    /// Per-component (indexed by component id) highest node index; nodes
+    /// are layer-major, so its round is the component's latest round.
+    comp_max_node: Vec<u32>,
     /// Per-component committed west-boundary edges (peeled; the group
     /// refinement overrides these through `group_west`).
     comp_west: Vec<u32>,
     /// Event-level union-find over interaction groups.
     ev_parent: Vec<u32>,
-    /// `(group representative, component id, event index)` triples, sorted
-    /// so each group's events are contiguous (components contiguous within
-    /// a group) for the refinement and the fallback sum.
-    by_group: Vec<(u32, u32, u32)>,
+    /// Commit component of each event.
+    ev_comp: Vec<u32>,
+    /// Per-group (indexed by representative event) event count.
+    group_len: Vec<u32>,
     /// Per-group (indexed by representative event) west count.
     group_west: Vec<u32>,
-    /// Per-group latest round touched by any member component's tree.
-    group_max_round: Vec<u32>,
+    /// Per-group highest node touched by any member component's tree.
+    group_max_node: Vec<u32>,
     /// Per-group commit flag for [`decode_events_commit`].
     group_commit: Vec<bool>,
     /// One interaction group's events, gathered for the matcher.
@@ -151,32 +176,42 @@ impl UnionFindScratch {
             self.boundary.resize(n, false);
             self.defect.resize(n, false);
             self.growth.resize(graph.n_nodes() * MAX_SLOTS, 0);
+            self.member.resize(n.div_ceil(64), 0);
+            self.head.resize(n, NO_NODE);
             self.visited.resize(n, false);
             self.parent_node.resize(n, NO_NODE);
             self.comp.resize(n, NO_NODE);
-            self.comp_max_round.resize(n, 0);
+            self.comp_first.resize(n, NO_NODE);
+            self.comp_max_node.resize(n, 0);
             self.comp_west.resize(n, 0);
             // Every union records ≤ 1 tree edge and each union shrinks the
             // cluster count, so the forest can never exceed n edges.
             self.tree.reserve(n.saturating_sub(self.tree.capacity()));
-            self.edge_off.resize(n + 1, 0);
-            self.edge_adj.reserve(2 * n);
+            self.next
+                .reserve((2 * n).saturating_sub(self.next.capacity()));
             self.order.reserve(n.saturating_sub(self.order.capacity()));
             self.stack.reserve(n.saturating_sub(self.stack.capacity()));
             // Event-indexed buffers: a block has at most one event per node.
             self.ev_parent
                 .reserve(n.saturating_sub(self.ev_parent.capacity()));
-            self.by_group
-                .reserve(n.saturating_sub(self.by_group.capacity()));
+            self.ev_comp
+                .reserve(n.saturating_sub(self.ev_comp.capacity()));
+            self.group_len
+                .reserve(n.saturating_sub(self.group_len.capacity()));
             self.group_west
                 .reserve(n.saturating_sub(self.group_west.capacity()));
-            self.group_max_round
-                .reserve(n.saturating_sub(self.group_max_round.capacity()));
+            self.group_max_node
+                .reserve(n.saturating_sub(self.group_max_node.capacity()));
             self.group_commit
                 .reserve(n.saturating_sub(self.group_commit.capacity()));
             self.group_events.reserve(LOCAL_EXACT_LIMIT);
             self.matcher = Matcher::for_events(LOCAL_EXACT_LIMIT);
         }
+    }
+
+    /// Adds real node `u` to the cluster members (idempotent).
+    fn join(&mut self, u: usize) {
+        self.member[u / 64] |= 1u64 << (u % 64);
     }
 }
 
@@ -227,7 +262,7 @@ pub fn decode_events_commit(
     let mut committed = 0usize;
     for i in 0..events.len() {
         if find(&mut scratch.ev_parent, i as u32) == i as u32 {
-            let commit = scratch.group_max_round[i] as usize <= horizon_round;
+            let commit = graph.round_of(scratch.group_max_node[i] as usize) <= horizon_round;
             scratch.group_commit[i] = commit;
             if commit {
                 west += scratch.group_west[i] as usize;
@@ -244,8 +279,8 @@ pub fn decode_events_commit(
     (west, committed)
 }
 
-/// Cluster growth + peeling; fills the scratch's per-component west counts
-/// and max-round table.
+/// Cluster growth, peeling and group refinement; fills the per-group
+/// tables [`decode_events`] / [`decode_events_commit`] read.
 fn decode_inner(graph: &DecodingGraph, events: &[DetectionEvent], scratch: &mut UnionFindScratch) {
     scratch.ensure(graph);
     let n_nodes = graph.n_nodes();
@@ -254,7 +289,7 @@ fn decode_inner(graph: &DecodingGraph, events: &[DetectionEvent], scratch: &mut 
     let east_node = graph.east_node() as u32;
     let total = n_nodes + 2;
 
-    // Reset (O(n_nodes); a few KiB of writes even at d = 11).
+    // Reset: plain fills, a few hundred bytes per array at d = 7.
     for i in 0..total {
         scratch.parent[i] = i as u32;
     }
@@ -269,9 +304,10 @@ fn decode_inner(graph: &DecodingGraph, events: &[DetectionEvent], scratch: &mut 
     scratch.boundary[east_node as usize] = true;
     scratch.defect[..total].fill(false);
     scratch.growth[..n_nodes * MAX_SLOTS].fill(0);
+    scratch.member[..n_nodes.div_ceil(64)].fill(0);
     scratch.tree.clear();
 
-    let mut active = 0usize;
+    scratch.active = 0;
     for ev in events {
         assert!(
             ev.round < graph.layers() && ev.stab < n_stabs,
@@ -283,34 +319,40 @@ fn decode_inner(graph: &DecodingGraph, events: &[DetectionEvent], scratch: &mut 
         );
         let node = graph.node(ev.stab, ev.round);
         debug_assert!(!scratch.defect[node], "duplicate detection event");
-        scratch.defect[node] = true;
-        scratch.parity[node] = true;
-        active += 1;
+        if !scratch.defect[node] {
+            scratch.defect[node] = true;
+            scratch.parity[node] = true;
+            scratch.active += 1;
+            scratch.join(node);
+        }
     }
 
-    // Synchronous growth rounds. Any odd cluster reaches a boundary within
-    // the graph diameter, so growth terminates well inside this bound.
+    // Synchronous growth rounds over the members in ascending node order.
+    // A node that joins above the cursor is still grown in the same round,
+    // one that joins below it waits for the next: exactly the order of a
+    // sweep over every node, whose non-members are even singletons that
+    // never grow. Any odd cluster reaches a boundary within the graph
+    // diameter, so growth terminates well inside this bound.
     let max_growth_rounds = 2 * (graph.layers() + graph.distance() + 2);
     let mut growth_rounds = 0usize;
-    while active > 0 {
+    while scratch.active > 0 {
         growth_rounds += 1;
         assert!(
             growth_rounds <= max_growth_rounds,
             "union-find growth failed to terminate"
         );
-        for u in 0..n_nodes {
-            let root = find(&mut scratch.parent, u as u32);
-            if !scratch.parity[root as usize] || scratch.boundary[root as usize] {
-                continue;
-            }
-            grow_node(graph, scratch, u, west_node, east_node);
-        }
-        // Recount active clusters (roots with odd parity, no boundary).
-        active = 0;
-        for u in 0..n_nodes {
-            let root = find(&mut scratch.parent, u as u32) as usize;
-            if root == u && scratch.parity[root] && !scratch.boundary[root] {
-                active += 1;
+        for w in 0..n_nodes.div_ceil(64) {
+            let mut bits = scratch.member[w];
+            while bits != 0 {
+                let b = bits.trailing_zeros();
+                let u = w * 64 + b as usize;
+                let root = find(&mut scratch.parent, u as u32) as usize;
+                if scratch.parity[root] && !scratch.boundary[root] {
+                    grow_node(graph, scratch, u, west_node, east_node);
+                }
+                // Re-read the word: this node's unions may have added
+                // members above it.
+                bits = scratch.member[w] & (!1u64 << b);
             }
         }
     }
@@ -324,7 +366,7 @@ fn decode_inner(graph: &DecodingGraph, events: &[DetectionEvent], scratch: &mut 
 /// most `min(dist_west, dist_east) ≤ (d + 1) / 2`, so a direct pairing can
 /// only tie or beat two independent resolutions when the pair is at most
 /// `d + 1` apart — beyond the radius, per-group refinement loses nothing.
-fn interaction_radius(graph: &DecodingGraph) -> usize {
+pub(crate) fn interaction_radius(graph: &DecodingGraph) -> usize {
     graph.distance() + 1
 }
 
@@ -336,121 +378,113 @@ fn interaction_radius(graph: &DecodingGraph) -> usize {
 /// union-find agrees with the whole-block matcher whenever the optimal
 /// matching does not pair defects across groups (which the radius makes
 /// strictly suboptimal). Fills the per-event-group tables (`ev_parent`,
-/// `group_west`, `group_max_round`) that [`decode_events`] /
+/// `group_west`, `group_max_node`) that [`decode_events`] /
 /// [`decode_events_commit`] read.
 fn refine_groups(graph: &DecodingGraph, events: &[DetectionEvent], scratch: &mut UnionFindScratch) {
     let k = events.len();
-    scratch.ev_parent.clear();
-    scratch.ev_parent.extend(0..k as u32);
-    scratch.group_west.clear();
-    scratch.group_west.resize(k, 0);
-    scratch.group_max_round.clear();
-    scratch.group_max_round.resize(k, 0);
-    scratch.group_commit.clear();
-    scratch.group_commit.resize(k, false);
-    if k == 0 {
-        return;
+    let UnionFindScratch {
+        visited,
+        comp,
+        comp_first,
+        comp_max_node,
+        comp_west,
+        ev_parent,
+        ev_comp,
+        group_len,
+        group_west,
+        group_max_node,
+        group_commit,
+        group_events,
+        matcher,
+        ..
+    } = scratch;
+    ev_parent.clear();
+    ev_parent.extend(0..k as u32);
+    ev_comp.clear();
+    for table in [&mut *group_len, &mut *group_west, &mut *group_max_node] {
+        table.clear();
+        table.resize(k, 0);
     }
+    group_commit.clear();
+    group_commit.resize(k, false);
 
-    // Link events of the same grown cluster, and events within the
-    // interaction radius of each other. O(k²) with an early temporal
-    // reject; blocks carry at most one event per space-time node, so k
-    // stays small at any operating point worth decoding.
-    let radius = interaction_radius(graph);
-    scratch.by_group.clear();
+    // Same component ⇒ same group: each event joins its component's first.
+    let mut groups = k;
     for (i, ev) in events.iter().enumerate() {
         let node = graph.node(ev.stab, ev.round);
-        let c = scratch.comp[node];
-        debug_assert_ne!(c, NO_NODE, "defect node missing from the forest");
-        scratch.by_group.push((c, i as u32, 0));
-    }
-    // Same component ⇒ same group: sort by component, union neighbours.
-    scratch.by_group.sort_unstable();
-    for w in 0..k - 1 {
-        let (ca, a, _) = scratch.by_group[w];
-        let (cb, b, _) = scratch.by_group[w + 1];
-        if ca == cb {
-            union_events(&mut scratch.ev_parent, a, b);
+        debug_assert!(visited[node], "defect node missing from the forest");
+        let c = comp[node];
+        ev_comp.push(c);
+        let first = comp_first[c as usize];
+        if first == NO_NODE {
+            comp_first[c as usize] = i as u32;
+        } else if union_events(ev_parent, first, i as u32) {
+            groups -= 1;
         }
     }
-    for i in 0..k {
+    // Events within the interaction radius of each other. O(k²) with an
+    // early temporal reject, ending as soon as one group holds every event
+    // (dense blocks collapse within a few pairs); blocks carry at most one
+    // event per space-time node, so k stays small at any operating point
+    // worth decoding.
+    let radius = interaction_radius(graph);
+    'scan: for i in 0..k {
         for j in i + 1..k {
+            if groups == 1 {
+                break 'scan;
+            }
             let (ea, eb) = (&events[i], &events[j]);
             if ea.round.abs_diff(eb.round) > radius {
                 continue;
             }
             let dist = graph.stab_distance(ea.stab, eb.stab) + ea.round.abs_diff(eb.round);
-            if dist <= radius {
-                union_events(&mut scratch.ev_parent, i as u32, j as u32);
+            if dist <= radius && union_events(ev_parent, i as u32, j as u32) {
+                groups -= 1;
             }
         }
     }
 
-    // Regroup as (representative, component, event) so each group's events
-    // are contiguous, with its components contiguous inside it.
-    for w in 0..k {
-        let (c, i, _) = scratch.by_group[w];
-        let rep = find(&mut scratch.ev_parent, i);
-        scratch.by_group[w] = (rep, c, i);
+    // Per-group size, latest round, and peeled west count (the sum over the
+    // group's components, each counted at its first event).
+    for (i, &c) in ev_comp.iter().enumerate() {
+        let rep = find(ev_parent, i as u32) as usize;
+        let c = c as usize;
+        group_len[rep] += 1;
+        group_max_node[rep] = group_max_node[rep].max(comp_max_node[c]);
+        if comp_first[c] == i as u32 {
+            group_west[rep] += comp_west[c];
+        }
     }
-    // In-place unstable sort: no allocation on the warm path. The event
-    // index tie-key only orders within one component; the matching below is
-    // canonical over the event *set*, so input order cannot leak into the
-    // west count.
-    scratch.by_group.sort_unstable();
-
-    let UnionFindScratch {
-        by_group,
-        group_events,
-        matcher,
-        comp_west,
-        comp_max_round,
-        group_west,
-        group_max_round,
-        ..
-    } = scratch;
-    let mut i = 0usize;
-    while i < k {
-        let rep = by_group[i].0;
-        let mut j = i + 1;
-        while j < k && by_group[j].0 == rep {
-            j += 1;
+    // Small groups: the exact matching replaces the peeled count. A group's
+    // representative is its smallest event index, and the matching is
+    // canonical over the event set, so gathering order cannot leak into
+    // the west count.
+    for rep in 0..k {
+        if ev_parent[rep] != rep as u32 || group_len[rep] as usize > LOCAL_EXACT_LIMIT {
+            continue;
         }
-        let mut max_round = 0u32;
-        let mut fallback_west = 0u32;
-        let mut prev_comp = NO_NODE;
-        for &(_, c, _) in &by_group[i..j] {
-            if comp_max_round[c as usize] > max_round {
-                max_round = comp_max_round[c as usize];
-            }
-            if c != prev_comp {
-                fallback_west += comp_west[c as usize];
-                prev_comp = c;
+        group_events.clear();
+        for (j, ev) in events.iter().enumerate().skip(rep) {
+            if find(ev_parent, j as u32) == rep as u32 {
+                group_events.push(*ev);
             }
         }
-        group_max_round[rep as usize] = max_round;
-        group_west[rep as usize] = if j - i <= LOCAL_EXACT_LIMIT {
-            group_events.clear();
-            group_events.extend(by_group[i..j].iter().map(|&(_, _, e)| events[e as usize]));
-            canonical_match(graph, group_events, matcher).west as u32
-        } else {
-            fallback_west
-        };
-        i = j;
+        group_west[rep] = canonical_match(graph, group_events, matcher).west as u32;
     }
 }
 
 /// Union for the event-level interaction grouping (smaller index wins; the
 /// decode only ever reads per-group aggregates, so representative identity
-/// never leaks into the outcome).
-fn union_events(parent: &mut [u32], a: u32, b: u32) {
+/// never leaks into the outcome). Returns whether two groups merged.
+fn union_events(parent: &mut [u32], a: u32, b: u32) -> bool {
     let ra = find(parent, a);
     let rb = find(parent, b);
     if ra == rb {
-        return;
+        return false;
     }
     let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
     parent[hi as usize] = lo;
+    true
 }
 
 /// Adds half-step support to every unsaturated half-edge of node `u`,
@@ -514,6 +548,7 @@ fn grow_half(
     }
     scratch.growth[base + slot] = mine + 1;
     if mine + 1 + theirs >= EDGE_WEIGHT {
+        scratch.join(v);
         union_nodes(scratch, u as u32, v as u32);
     }
 }
@@ -536,70 +571,49 @@ fn grow_boundary_half(
     }
 }
 
-/// Union by size with parity/boundary merge; records the spanning-forest
-/// edge when the endpoints were in different clusters.
+/// Union by size with parity/boundary merge and active-cluster count;
+/// records the spanning-forest edge when the endpoints were in different
+/// clusters.
 fn union_nodes(scratch: &mut UnionFindScratch, a: u32, b: u32) {
-    let ra = find(&mut scratch.parent, a);
-    let rb = find(&mut scratch.parent, b);
+    let ra = find(&mut scratch.parent, a) as usize;
+    let rb = find(&mut scratch.parent, b) as usize;
     if ra == rb {
         return;
     }
-    let (winner, loser) = if scratch.size[ra as usize] >= scratch.size[rb as usize] {
+    let (winner, loser) = if scratch.size[ra] >= scratch.size[rb] {
         (ra, rb)
     } else {
         (rb, ra)
     };
-    scratch.parent[loser as usize] = winner;
-    scratch.size[winner as usize] =
-        scratch.size[winner as usize].saturating_add(scratch.size[loser as usize]);
-    let merged_parity = scratch.parity[ra as usize] ^ scratch.parity[rb as usize];
-    let merged_boundary = scratch.boundary[ra as usize] | scratch.boundary[rb as usize];
-    scratch.parity[winner as usize] = merged_parity;
-    scratch.boundary[winner as usize] = merged_boundary;
+    let is_active = |s: &UnionFindScratch, r: usize| s.parity[r] && !s.boundary[r];
+    scratch.active -= usize::from(is_active(scratch, ra)) + usize::from(is_active(scratch, rb));
+    scratch.parent[loser] = winner as u32;
+    scratch.size[winner] = scratch.size[winner].saturating_add(scratch.size[loser]);
+    scratch.parity[winner] = scratch.parity[ra] ^ scratch.parity[rb];
+    scratch.boundary[winner] = scratch.boundary[ra] | scratch.boundary[rb];
+    scratch.active += usize::from(is_active(scratch, winner));
     scratch.tree.push(TreeEdge { a, b });
 }
 
 /// Peels the spanning forest: roots every tree at its boundary node (west
 /// preferred), walks bottom-up, and routes each odd defect parity along its
-/// parent edge. Fills `comp`, `comp_west`, and `comp_max_round`.
+/// parent edge. Fills `comp`, `comp_west`, and `comp_max_node`.
 fn peel(graph: &DecodingGraph, scratch: &mut UnionFindScratch) {
     let n_nodes = graph.n_nodes();
-    let total = n_nodes + 2;
     let west_node = graph.west_node() as u32;
 
-    // Forest CSR.
-    scratch.edge_off[..total + 1].fill(0);
-    for &TreeEdge { a, b } in &scratch.tree {
-        scratch.edge_off[a as usize + 1] += 1;
-        scratch.edge_off[b as usize + 1] += 1;
-    }
-    for i in 0..total {
-        scratch.edge_off[i + 1] += scratch.edge_off[i];
-    }
-    scratch.edge_adj.clear();
-    scratch.edge_adj.resize(2 * scratch.tree.len(), 0);
-    {
-        // `edge_off` doubles as the running insert cursor; it is restored to
-        // offsets by the reverse sweep below.
-        let tree = &scratch.tree;
-        for &TreeEdge { a, b } in tree {
-            let ia = scratch.edge_off[a as usize];
-            scratch.edge_adj[ia as usize] = b;
-            scratch.edge_off[a as usize] += 1;
-            let ib = scratch.edge_off[b as usize];
-            scratch.edge_adj[ib as usize] = a;
-            scratch.edge_off[b as usize] += 1;
-        }
-        for i in (1..=total).rev() {
-            scratch.edge_off[i] = scratch.edge_off[i - 1];
-        }
-        scratch.edge_off[0] = 0;
-    }
+    let total = n_nodes + 2;
 
+    // Forest adjacency.
+    scratch.head[..total].fill(NO_NODE);
+    scratch.next.clear();
+    for (e, &TreeEdge { a, b }) in scratch.tree.iter().enumerate() {
+        for (h, x) in [(2 * e, a), (2 * e + 1, b)] {
+            scratch.next.push(scratch.head[x as usize]);
+            scratch.head[x as usize] = h as u32;
+        }
+    }
     scratch.visited[..total].fill(false);
-    scratch.comp[..total].fill(NO_NODE);
-    scratch.comp_max_round[..total].fill(0);
-    scratch.comp_west[..total].fill(0);
     scratch.order.clear();
 
     // Traversal roots: the west boundary first, then east, then the first
@@ -608,12 +622,8 @@ fn peel(graph: &DecodingGraph, scratch: &mut UnionFindScratch) {
     traverse(graph, scratch, graph.east_node() as u32);
     for i in 0..scratch.tree.len() {
         let TreeEdge { a, b } = scratch.tree[i];
-        if !scratch.visited[a as usize] {
-            traverse(graph, scratch, a);
-        }
-        if !scratch.visited[b as usize] {
-            traverse(graph, scratch, b);
-        }
+        traverse(graph, scratch, a);
+        traverse(graph, scratch, b);
     }
 
     // Bottom-up sweep (children precede parents in reverse visit order):
@@ -642,62 +652,56 @@ fn peel(graph: &DecodingGraph, scratch: &mut UnionFindScratch) {
     }
 }
 
-/// Depth-first traversal from `root`, assigning visit order, parent links,
-/// and commit component ids (new component at every child of a boundary
-/// node).
+/// Depth-first traversal from `root` (a no-op once visited), assigning
+/// visit order, parent links, and commit component ids: a real root, and
+/// every child of a boundary node, starts a component of its own.
 fn traverse(graph: &DecodingGraph, scratch: &mut UnionFindScratch, root: u32) {
-    let n_nodes = graph.n_nodes();
     if scratch.visited[root as usize] {
         return;
     }
-    // Skip boundary roots with no incident tree edges.
-    let off = |s: &UnionFindScratch, x: u32| {
-        (
-            s.edge_off[x as usize] as usize,
-            s.edge_off[x as usize + 1] as usize,
-        )
-    };
-    let (rs, re) = off(scratch, root);
-    if rs == re && (root as usize) >= n_nodes {
-        return;
-    }
+    let n_nodes = graph.n_nodes();
     scratch.visited[root as usize] = true;
     scratch.parent_node[root as usize] = NO_NODE;
     if (root as usize) < n_nodes {
-        scratch.comp[root as usize] = root;
-        let r = graph.round_of(root as usize) as u32;
-        scratch.comp_max_round[root as usize] = r;
+        start_component(scratch, root);
     }
     scratch.order.push(root);
     scratch.stack.clear();
     scratch.stack.push(root);
     while let Some(u) = scratch.stack.pop() {
-        let (s0, s1) = off(scratch, u);
-        for i in s0..s1 {
-            let v = scratch.edge_adj[i];
+        let mut h = scratch.head[u as usize];
+        while h != NO_NODE {
+            let e = scratch.tree[h as usize / 2];
+            let v = if h & 1 == 0 { e.b } else { e.a };
+            h = scratch.next[h as usize];
             if scratch.visited[v as usize] {
                 continue;
             }
             scratch.visited[v as usize] = true;
             scratch.parent_node[v as usize] = u;
             if (v as usize) < n_nodes {
-                // Trees split at boundary nodes: a child of a boundary node
-                // starts its own commit component.
-                let c = if (u as usize) >= n_nodes {
-                    v
+                if (u as usize) >= n_nodes {
+                    start_component(scratch, v);
                 } else {
-                    scratch.comp[u as usize]
-                };
-                scratch.comp[v as usize] = c;
-                let r = graph.round_of(v as usize) as u32;
-                if scratch.comp_max_round[c as usize] < r {
-                    scratch.comp_max_round[c as usize] = r;
+                    let c = scratch.comp[u as usize];
+                    scratch.comp[v as usize] = c;
+                    if scratch.comp_max_node[c as usize] < v {
+                        scratch.comp_max_node[c as usize] = v;
+                    }
                 }
             }
             scratch.order.push(v);
             scratch.stack.push(v);
         }
     }
+}
+
+/// Opens commit component `c` (named after its first node).
+fn start_component(scratch: &mut UnionFindScratch, c: u32) {
+    scratch.comp[c as usize] = c;
+    scratch.comp_first[c as usize] = NO_NODE;
+    scratch.comp_max_node[c as usize] = c;
+    scratch.comp_west[c as usize] = 0;
 }
 
 #[cfg(test)]

@@ -2,23 +2,40 @@
 //!
 //! A [`SlidingWindowDecoder`] consumes detection events round by round and
 //! decodes *behind* the stream: when round `t` arrives it runs union-find
-//! over everything still buffered and **commits** every cluster whose
-//! spanning tree stays at rounds `≤ t − w` (`w` = the configured lag),
-//! accumulating the committed clusters' west parity and dropping their
-//! events. Clusters that reach past the commit horizon are deferred
-//! wholesale — kept in the buffer, in arrival order, for re-decoding once
-//! more rounds have arrived. Deferring whole clusters (instead of cutting
-//! them at the seam) is the window-boundary handling: a cluster is only
-//! resolved when the stream has moved far enough past it that later events
-//! cannot merge into it, so no artificial boundary ever splits a match.
+//! over everything still buffered and **commits** every interaction group
+//! whose spanning trees stay at rounds `≤ t − max(w, d + 1)` (`w` = the
+//! configured lag, `d + 1` the union-find interaction radius), accumulating
+//! the committed groups' west parity and dropping their events. Groups that
+//! reach past the commit horizon are deferred wholesale — kept in the
+//! buffer, in arrival order, for re-decoding once more rounds have arrived.
+//! Deferring whole groups (instead of cutting them at the seam) is the
+//! window-boundary handling: no artificial boundary ever splits a match.
 //!
 //! [`SlidingWindowDecoder::finish`] decodes the remaining buffer without a
-//! horizon and returns the block's totals. As long as every committed
-//! cluster is one the whole-block decode would also have formed — true
-//! whenever event clusters are separated by at least the lag, which the lag
-//! is chosen to make overwhelmingly likely — the streamed outcome is
-//! *identical* to [`crate::uf::decode_events`] over the full block;
-//! `herqles-stream`'s parity tests pin this on long multi-window streams.
+//! horizon and returns the block's total, which equals
+//! [`crate::uf::decode_events`] over the full block except in the one corner
+//! described below. Every event still to
+//! arrive (rounds `> t`) lies more than the interaction radius from every
+//! committed event, so it can neither join a committed group through the
+//! radius link nor merge with one of its clusters: each union-find cluster
+//! grows at most `(d + 1) / 2` edges from its defects before it reaches a
+//! boundary, so two clusters only ever merge when they hold defects within
+//! `d + 1` of each other. A committed group's clusters therefore grow,
+//! merge and get refined exactly as in the whole-block decode. Committing
+//! on the lag alone was not enough: a group can sit `lag` rounds behind the
+//! stream and still be within `d + 1` of an event that has not arrived.
+//! Since the horizon is never less than `d + 1` rounds behind, a lag of
+//! `d + 1` or less has no effect; only a larger lag moves the horizon.
+//!
+//! One corner sits outside this argument, so the window is exact except
+//! there. The west and east boundary nodes
+//! share a root once any cluster has touched both, and from then on a
+//! second boundary contact records no forest edge. So a cluster that
+//! touches both boundaries in one growth step is rooted west or east
+//! depending on whether some other cluster, possibly a later one, linked
+//! the boundaries first. Blossom-refined groups (at most
+//! [`crate::LOCAL_EXACT_LIMIT`] events) are a function of their event set
+//! and never see this; only a larger group's peeled west count can.
 //!
 //! All rounds are absolute block rounds: events are never rebased, the
 //! decoding graph spans the whole block, and the caller owns both the graph
@@ -27,14 +44,14 @@
 
 use crate::graph::DecodingGraph;
 use crate::syndrome::DetectionEvent;
-use crate::uf::{decode_events, decode_events_commit, UnionFindScratch};
+use crate::uf::{decode_events, decode_events_commit, interaction_radius, UnionFindScratch};
 
 /// Streaming window state for one block. Reused across blocks via
 /// [`SlidingWindowDecoder::reset`]; buffers keep their capacity.
 #[derive(Debug, Clone)]
 pub struct SlidingWindowDecoder {
-    /// Commit lag `w`: with round `t` fed, clusters confined to rounds
-    /// `≤ t − w` commit.
+    /// Commit lag `w`: with round `t` fed, groups confined to rounds
+    /// `≤ t − max(w, d + 1)` commit, so any `w ≤ d + 1` acts as `d + 1`.
     lag: usize,
     /// Uncommitted events, in arrival order.
     buf: Vec<DetectionEvent>,
@@ -49,7 +66,9 @@ pub struct SlidingWindowDecoder {
 }
 
 impl SlidingWindowDecoder {
-    /// A window decoder with commit lag `w ≥ 1`.
+    /// A window decoder with commit lag `w ≥ 1`. Groups commit only once
+    /// `max(w, d + 1)` rounds behind the stream (see the module docs), so
+    /// any lag up to `d + 1` behaves the same.
     ///
     /// # Panics
     ///
@@ -116,14 +135,16 @@ impl SlidingWindowDecoder {
         self.n_events += events.len();
     }
 
-    /// Round `t` has fully arrived: decode the buffer and commit clusters
-    /// confined to rounds `≤ t − lag`. No-op until the stream is `lag`
-    /// rounds deep or while nothing is buffered.
+    /// Round `t` has fully arrived: decode the buffer and commit groups
+    /// confined to rounds `≤ t − max(lag, d + 1)`, which no later event can
+    /// interact with. No-op until the stream is that many rounds deep or
+    /// while nothing is buffered.
     pub fn advance(&mut self, t: usize, graph: &DecodingGraph, scratch: &mut UnionFindScratch) {
-        if t < self.lag || self.buf.is_empty() {
+        let behind = self.lag.max(interaction_radius(graph));
+        if t < behind || self.buf.is_empty() {
             return;
         }
-        let horizon = t - self.lag;
+        let horizon = t - behind;
         self.keep.clear();
         let (west, clusters) =
             decode_events_commit(graph, &self.buf, horizon, scratch, &mut self.keep);
@@ -191,6 +212,55 @@ mod tests {
                 "d={d}: long stream never committed ahead of the block end"
             );
         }
+    }
+
+    /// Dense short blocks with a short lag: many groups sit within the
+    /// interaction radius of events that arrive more than `lag` rounds
+    /// later, so committing on the lag alone would split groups the
+    /// whole-block decode refines jointly.
+    #[test]
+    fn streamed_parity_matches_whole_block_when_events_arrive_past_the_lag() {
+        let mut failures = Vec::new();
+        for (d, lag, p_meas, seed) in [(3usize, 2usize, 0.09, 11u64), (5, 3, 0.05, 12)] {
+            let rounds = 15;
+            let code = RotatedSurfaceCode::new(d);
+            let noise = NoiseParams {
+                data_error_prob: 0.004,
+                meas_error_prob: p_meas,
+            };
+            let graph = DecodingGraph::new(&code, rounds);
+            let mut scratch = UnionFindScratch::for_graph(&graph);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut sim = SyndromeSim::new(&code, &noise);
+            sim.reserve_rounds(rounds);
+            let mut wd = SlidingWindowDecoder::new(lag);
+            wd.reserve_for(&graph);
+            let mut mismatches = 0usize;
+            let mut committed = 0usize;
+            for _ in 0..3000 {
+                sim.reset();
+                wd.reset();
+                let mut fed = 0usize;
+                for t in 0..rounds {
+                    sim.step_round(&mut rng);
+                    wd.push_events(&sim.events()[fed..]);
+                    fed = sim.events().len();
+                    wd.advance(t, &graph, &mut scratch);
+                }
+                sim.finish_perfect_round();
+                wd.push_events(&sim.events()[fed..]);
+                let streamed = wd.finish(&graph, &mut scratch);
+                committed += wd.committed_clusters();
+                let whole = decode_events(&graph, sim.events(), &mut scratch);
+                mismatches += usize::from(streamed % 2 != whole % 2);
+            }
+            assert!(committed > 0, "d={d}: nothing committed ahead of block end");
+            failures.push((d, lag, mismatches));
+        }
+        assert!(
+            failures.iter().all(|&(_, _, m)| m == 0),
+            "(d, lag, blocks of 3000 whose streamed parity differs from whole-block): {failures:?}"
+        );
     }
 
     #[test]

@@ -539,12 +539,17 @@ impl<'a, R: Real, D: ?Sized + PrecisionDiscriminator<R>> CycleEngine<'a, R, D> {
     }
 
     /// Switches the engine to sliding-window streaming decode: every
-    /// committed round feeds the union-find window, clusters confined `lag`
-    /// rounds behind the stream commit while later rounds are still being
-    /// synthesized, and [`CycleEngine::finish_cycle`] only resolves the
-    /// remainder. Cycle outcomes stay identical to whole-block mode (pinned
-    /// by `tests/decode_modes.rs`); the difference is *when* the decode work
-    /// happens. Call between cycles, not mid-block.
+    /// committed round feeds the union-find window, interaction groups
+    /// confined `max(lag, d + 1)` rounds behind the stream commit while
+    /// later rounds are still being synthesized, and
+    /// [`CycleEngine::finish_cycle`] only resolves the remainder. `d + 1` is
+    /// the union-find interaction radius: a group any closer could still be
+    /// reached by an event yet to arrive (see [`surface_code::window`]), so
+    /// any `lag` up to `d + 1` behaves the same. Cycle outcomes stay
+    /// identical to whole-block mode (pinned by `tests/decode_modes.rs`;
+    /// the one known exception, in peeled groups of more than 14 events, is
+    /// described in the same module docs); the difference is *when* the
+    /// decode work happens. Call between cycles, not mid-block.
     ///
     /// # Panics
     ///
